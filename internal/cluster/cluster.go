@@ -151,7 +151,7 @@ func Start(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	for i := 0; i < opts.Workers; i++ {
-		if _, err := c.AddWorker(); err != nil {
+		if _, err := c.JoinWorker(); err != nil {
 			c.Stop()
 			return nil, err
 		}
@@ -188,10 +188,8 @@ func (c *Cluster) controllerConfig() controller.Config {
 	}
 }
 
-// workerConfig builds the worker Config shared by every startup path —
-// fixed-fleet registration (AddWorker) and elastic joins (JoinWorker)
-// differ only in the handshake flag.
-func (c *Cluster) workerConfig(fleetJoin bool) worker.Config {
+// workerConfig builds the Config for the cluster's next worker.
+func (c *Cluster) workerConfig() worker.Config {
 	c.nextIdx++
 	return worker.Config{
 		ControlAddr:    ControlAddr,
@@ -206,32 +204,23 @@ func (c *Cluster) workerConfig(fleetJoin bool) worker.Config {
 		RecvBudget:     c.opts.RecvBudget,
 		SpillDir:       c.opts.SpillDir,
 		CompressChunks: c.opts.CompressChunks,
-		FleetJoin:      fleetJoin,
 		Logf:           c.opts.Logf,
 	}
 }
 
-// startWorker starts a worker from cfg and tracks it in the cluster.
-func (c *Cluster) startWorker(cfg worker.Config) (*worker.Worker, error) {
-	w := worker.New(cfg)
+// JoinWorker starts one more worker through the fleet lifecycle: it
+// announces itself, is warmed with every live job's active templates, and
+// only enters the scheduler's active set at FleetReady. Start returns
+// after admission; wait on the worker's Ready channel for warm completion.
+// With no live job there is nothing to warm, and the controller has the
+// worker in its active set by the time JoinWorker returns.
+func (c *Cluster) JoinWorker() (*worker.Worker, error) {
+	w := worker.New(c.workerConfig())
 	if err := w.Start(); err != nil {
 		return nil, err
 	}
 	c.Workers = append(c.Workers, w)
 	return w, nil
-}
-
-// AddWorker starts one more worker and registers it with the controller.
-func (c *Cluster) AddWorker() (*worker.Worker, error) {
-	return c.startWorker(c.workerConfig(false))
-}
-
-// JoinWorker starts one more worker through the elastic-fleet lifecycle:
-// it announces itself, is warmed with every live job's active templates,
-// and only enters the scheduler's active set at FleetReady. Start returns
-// after admission; wait on the worker's Ready channel for warm completion.
-func (c *Cluster) JoinWorker() (*worker.Worker, error) {
-	return c.startWorker(c.workerConfig(true))
 }
 
 // FleetSample adapts the controller's load snapshot to the autoscaler's

@@ -33,6 +33,29 @@ func awaitFleet(t *testing.T, c *Cluster, what string, ok func(controller.FleetS
 	t.Fatalf("fleet never reached %s: %+v", what, c.Controller.FleetStats())
 }
 
+// TestFleetStartupJoinsWithNothingToWarm checks that cluster startup is a
+// sequence of fleet joins with an empty warm set: with no job live, each
+// join completes in its announce turn, so the controller has every worker
+// active by the time Start returns, no warm round is counted, and every
+// worker's Ready closes without a warm handshake.
+func TestFleetStartupJoinsWithNothingToWarm(t *testing.T) {
+	leakcheck.Check(t)
+	c := startTestCluster(t, Options{Workers: 4})
+	st := c.Controller.FleetStats()
+	if st.Workers != 4 || st.Warming != 0 || st.Joins != 0 {
+		t.Fatalf("fleet stats right after Start: %+v; want 4 active, none warming, no warm rounds", st)
+	}
+	deadline := time.After(10 * time.Second)
+	for i, w := range c.Workers {
+		select {
+		case <-w.Ready():
+		case <-deadline:
+			t.Fatalf("worker %d (%s) not ready 10s after Start; fleet stats %+v",
+				i, w.ID(), c.Controller.FleetStats())
+		}
+	}
+}
+
 // TestFleetJoinWarmBeforeTraffic grows the fleet in the middle of an
 // iterative job and checks the two join invariants: the joiner compiled
 // every active template before its first activation (warm gating), and

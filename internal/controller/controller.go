@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -182,10 +183,10 @@ type Stats struct {
 	Evictions    atomic.Uint64
 	JobsExpired  atomic.Uint64
 	CkptsAborted atomic.Uint64
-	// FleetJoins / FleetDrains count completed elastic-fleet lifecycle
-	// transitions (fleet.go): a join is announce→warm→ready, a drain is
-	// drain→quiesce→decommission. Neither counts fixed-fleet
-	// registrations or failures.
+	// FleetJoins / FleetDrains count completed fleet lifecycle
+	// transitions (fleet.go): a join is a warm round, announce→warm→ready,
+	// a drain is drain→quiesce→decommission. Neither counts joins with
+	// nothing to warm, reconnects or failures.
 	FleetJoins  atomic.Uint64
 	FleetDrains atomic.Uint64
 
@@ -392,10 +393,10 @@ type workerState struct {
 	slots    int
 	alive    bool
 	lastBeat time.Time
-	// phase is the fleet lifecycle state (fleet.go); fixed-fleet workers
-	// are born phaseActive. pending mirrors the last heartbeat's queue
-	// depth — the autoscaler's load signal. warm/drainStart track the
-	// lifecycle transition in flight, if any.
+	// phase is the fleet lifecycle state (fleet.go); joiners are born
+	// phaseWarming, reconnecting workers phaseActive. pending mirrors the
+	// last heartbeat's queue depth — the autoscaler's load signal.
+	// warm/drainStart track the lifecycle transition in flight, if any.
 	phase      workerPhase
 	pending    int
 	warm       *warmState
@@ -740,9 +741,8 @@ func (c *Controller) handshake(conn transport.Conn) {
 		return
 	}
 	switch msg.(type) {
-	case *proto.RegisterWorker, *proto.RegisterDriver, *proto.GatewayHello,
-		*proto.ReplAttach, *proto.WorkerReconnect, *proto.DriverReattach,
-		*proto.FleetAnnounce:
+	case *proto.FleetAnnounce, *proto.RegisterDriver, *proto.GatewayHello,
+		*proto.ReplAttach, *proto.WorkerReconnect, *proto.DriverReattach:
 		c.trackConn(conn)
 		select {
 		case c.events <- cevent{kind: cevMsg, msg: msg, conn: conn, at: time.Now()}:
@@ -828,9 +828,6 @@ func (c *Controller) handleMsg(ev cevent) {
 	// it. A nil job means the job was torn down while the message was in
 	// flight — drop it.
 	switch m := ev.msg.(type) {
-	case *proto.RegisterWorker:
-		c.registerWorker(m, ev.conn)
-		return
 	case *proto.FleetAnnounce:
 		c.fleetAnnounce(m, ev.conn)
 		return
@@ -933,41 +930,6 @@ func (c *Controller) handleMsg(ev cevent) {
 	}
 }
 
-func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn) {
-	c.nextWorker++
-	id := c.nextWorker
-	ws := &workerState{
-		id: id, conn: conn, dataAddr: m.DataAddr,
-		slots: m.Slots, alive: true, lastBeat: time.Now(),
-	}
-	c.workers[id] = ws
-	c.active = append(c.active, id)
-	sort.Slice(c.active, func(i, j int) bool { return c.active[i] < c.active[j] })
-	for _, j := range c.jobs {
-		j.ledgers[id] = flow.NewLedger(id)
-	}
-
-	peers := c.peerMap()
-	c.sendWorker(ws, &proto.RegisterWorkerAck{
-		Worker: id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-	})
-	// Refresh every other worker's peer map.
-	for _, other := range c.workers {
-		if other.id != id && other.alive {
-			c.sendWorker(other, &proto.RegisterWorkerAck{
-				Worker: other.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-			})
-		}
-	}
-	// The new worker needs every admitted job's slot quota. Existing
-	// workers' shares are unchanged by a join (shares are per-worker
-	// slots × weight / totalWeight), so only the newcomer is told.
-	c.sendQuotas(ws)
-	c.wg.Add(1)
-	go c.pump(conn, id, ids.NoJob, false)
-	c.maybeStartTakeover()
-}
-
 func (c *Controller) peerMap() map[ids.WorkerID]string {
 	peers := make(map[ids.WorkerID]string, len(c.workers))
 	for id, ws := range c.workers {
@@ -976,6 +938,41 @@ func (c *Controller) peerMap() map[ids.WorkerID]string {
 		}
 	}
 	return peers
+}
+
+// workerAck is the RegisterWorkerAck for ws over the given peer map: the
+// admission and reconnect reply, and the peer-map refresh.
+func (c *Controller) workerAck(ws *workerState, peers map[ids.WorkerID]string) *proto.RegisterWorkerAck {
+	return &proto.RegisterWorkerAck{Worker: ws.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral}
+}
+
+// broadcastPeers sends the current peer map to every live,
+// non-decommissioned worker except skip (the worker whose arrival or
+// departure changed the map).
+func (c *Controller) broadcastPeers(skip ids.WorkerID) {
+	peers := c.peerMap()
+	for _, other := range c.workers {
+		if other.id != skip && other.alive && other.phase != phaseDecommissioned {
+			c.sendWorker(other, c.workerAck(other, peers))
+		}
+	}
+}
+
+// enterActive enters ws into the active set: placement, a ledger in every
+// job, the peer-map refresh to the rest of the fleet, and every admitted
+// job's slot quota (existing workers' shares are per-worker, so a join
+// leaves them unchanged). A promoted controller waiting on its roster may
+// start takeover recovery once ws is in.
+func (c *Controller) enterActive(ws *workerState) {
+	ws.phase = phaseActive
+	i := sort.Search(len(c.active), func(i int) bool { return c.active[i] >= ws.id })
+	c.active = slices.Insert(c.active, i, ws.id)
+	for _, j := range c.jobs {
+		j.ledgers[ws.id] = flow.NewLedger(ws.id)
+	}
+	c.broadcastPeers(ws.id)
+	c.sendQuotas(ws)
+	c.maybeStartTakeover()
 }
 
 // endJob tears one job down: worker-side namespaces are dropped, in-flight
@@ -1022,18 +1019,6 @@ func (c *Controller) endJob(j *jobState, reason string) {
 	}
 	// A freed job slot admits the head of the bounded admission queue.
 	c.drainAdmissions()
-}
-
-// rebalanceSlots marks every tenant's fair-share quotas dirty; the
-// end-of-event flushQuotas recomputes and pushes only the (tenant, job
-// weight) classes whose share actually moved. The worker-side dispatcher
-// is work-conserving, so slots a tenant leaves idle are still usable by
-// others.
-func (c *Controller) rebalanceSlots() {
-	if len(c.jobs) == 0 {
-		return
-	}
-	c.allTenantsDirty = true
 }
 
 // sendQuotas pushes every admitted job's fair-share quota to one worker —

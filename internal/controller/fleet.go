@@ -34,8 +34,8 @@ import (
 // cold. Both are safe because warm is a latency optimization and drain is
 // re-issuable.
 
-// workerPhase is a worker's fleet lifecycle state. Workers registered
-// through the fixed-fleet RegisterWorker path are born active.
+// workerPhase is a worker's fleet lifecycle state. Every worker is born
+// warming (FleetAnnounce) or active (WorkerReconnect).
 type workerPhase uint8
 
 const (
@@ -83,11 +83,14 @@ type FleetStats struct {
 	Workers  int
 	Warming  int
 	Draining int
-	// Joins / Drains count completed lifecycle transitions.
+	// Joins counts completed warm rounds: a worker that joins while no
+	// job is live has nothing to warm and is not counted. Drains counts
+	// completed decommissions.
 	Joins  uint64
 	Drains uint64
 	// WarmP50/P99 are quantiles of announce-to-ready latency over the
-	// recent window; RebalanceP50/P99 of drain-to-decommission latency.
+	// recent warm rounds; RebalanceP50/P99 of drain-to-decommission
+	// latency.
 	WarmP50      time.Duration
 	WarmP99      time.Duration
 	RebalanceP50 time.Duration
@@ -152,11 +155,12 @@ func (c *Controller) FleetSample() FleetSample {
 	return s
 }
 
-// fleetAnnounce admits an elastically-joining worker: allocate its ID and
-// state outside the active set, reply with the admit, and start the warm
-// round. The admit, every template install and the warm marker coalesce
-// into one frame on the FIFO control channel, so the worker processes them
-// strictly in order.
+// fleetAnnounce admits a joining worker: allocate its ID and state outside
+// the active set, reply with the admit, and start the warm round. The
+// admit, every template install and the warm marker coalesce into one
+// frame on the FIFO control channel, so the worker processes them strictly
+// in order. With no live job there is nothing to warm: the join completes
+// in this turn, and the admit and FleetReady share that one frame.
 func (c *Controller) fleetAnnounce(m *proto.FleetAnnounce, conn transport.Conn) {
 	c.nextWorker++
 	id := c.nextWorker
@@ -166,11 +170,13 @@ func (c *Controller) fleetAnnounce(m *proto.FleetAnnounce, conn transport.Conn) 
 		phase: phaseWarming,
 	}
 	c.workers[id] = ws
-	c.sendWorker(ws, &proto.FleetAdmit{
-		Worker: id, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral,
-	})
-	ws.warm = &warmState{start: time.Now()}
-	c.planWarm(ws)
+	c.sendWorker(ws, c.workerAck(ws, c.peerMap()))
+	if len(c.jobs) == 0 {
+		c.finishJoin(ws, nil)
+	} else {
+		ws.warm = &warmState{start: time.Now()}
+		c.planWarm(ws)
+	}
 	c.wg.Add(1)
 	go c.pump(conn, id, ids.NoJob, false)
 }
@@ -292,19 +298,18 @@ func (c *Controller) fleetWarmAck(m *proto.FleetWarmAck) {
 	c.finishJoin(ws, planned)
 }
 
-// finishJoin enters a warmed worker into the active set and retargets
+// finishJoin enters a joining worker into the active set and retargets
 // every job onto the grown placement. Jobs with a fresh plan adopt it (and
 // mark the pre-sent installs so the first instantiation sends none); jobs
 // without one — admitted mid-warm, or a stale round past its retries —
-// retarget synchronously like recovery does.
+// retarget synchronously like recovery does. A worker that joined with no
+// live job has no warm round (ws.warm is nil) and is not counted in the
+// warm stats.
 func (c *Controller) finishJoin(ws *workerState, planned map[ids.JobID]*warmJob) {
 	warm := ws.warm
 	ws.warm = nil
-	ws.phase = phaseActive
-	c.active = append(c.active, ws.id)
-	sort.Slice(c.active, func(i, j int) bool { return c.active[i] < c.active[j] })
+	c.enterActive(ws)
 	for _, j := range c.jobList() {
-		j.ledgers[ws.id] = flow.NewLedger(ws.id)
 		c.reassignAll(j)
 		if wj := planned[j.id]; wj != nil {
 			c.commitRetargets(j, wj.plans, nil, wj.sig)
@@ -322,21 +327,15 @@ func (c *Controller) finishJoin(ws *workerState, planned map[ids.JobID]*warmJob)
 		}
 		j.autoValid = false
 	}
-	peers := c.peerMap()
-	for _, other := range c.workers {
-		if other.id != ws.id && other.alive && other.phase != phaseDecommissioned {
-			c.sendWorker(other, &proto.RegisterWorkerAck{
-				Worker: other.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-			})
-		}
-	}
-	c.sendQuotas(ws)
 	c.sendWorker(ws, &proto.FleetReady{Worker: ws.id})
+	if warm == nil {
+		c.cfg.Logf("controller: worker %s joined fleet (%d active, nothing to warm)", ws.id, len(c.active))
+		return
+	}
 	c.Stats.FleetJoins.Add(1)
 	c.warmLat.record(time.Since(warm.start))
 	c.cfg.Logf("controller: worker %s joined fleet (%d active, warmed in %v)",
 		ws.id, len(c.active), time.Since(warm.start).Round(time.Microsecond))
-	c.maybeStartTakeover()
 }
 
 // DrainWorker removes one worker from the fleet gracefully (call via Do):
@@ -480,14 +479,7 @@ func (c *Controller) decommission(ws *workerState) {
 		delete(j.ledgers, ws.id)
 	}
 	c.sendWorker(ws, &proto.FleetDecommission{Worker: ws.id})
-	peers := c.peerMap()
-	for _, other := range c.workers {
-		if other.id != ws.id && other.alive && other.phase != phaseDecommissioned {
-			c.sendWorker(other, &proto.RegisterWorkerAck{
-				Worker: other.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-			})
-		}
-	}
+	c.broadcastPeers(ws.id)
 	c.Stats.FleetDrains.Add(1)
 	c.drainLat.record(time.Since(ws.drainStart))
 	c.cfg.Logf("controller: worker %s decommissioned (drained in %v)",

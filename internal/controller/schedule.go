@@ -161,13 +161,6 @@ func (j *jobState) workOutstanding() int {
 	return len(j.outstanding) + len(j.instances) + j.central.pendingCount()
 }
 
-// totalOutstanding adds in-flight template builds and the driver
-// operations queued behind the op fence — barriers, gets and checkpoints
-// must not resolve while queued operations still have effects to apply.
-func (j *jobState) totalOutstanding() int {
-	return j.workOutstanding() + len(j.building) + len(j.opq)
-}
-
 // resolveIfQuiet answers a job's barriers and gets once it has drained.
 // In-flight predicate loops advance as soon as execution drains — before
 // the opq check, NOT behind it: ops queued in opq are fenced precisely
@@ -426,15 +419,6 @@ func (c *Controller) dispatchCommands(j *jobState, batches map[ids.WorkerID][]*c
 		}
 		c.sendWorker(c.workers[w], &proto.SpawnCommands{Job: j.id, Cmds: cmds})
 	}
-}
-
-// spawnBarrierBatch sends commands to one worker as a barrier unit
-// (uncached patches).
-func (c *Controller) spawnBarrierBatch(j *jobState, w ids.WorkerID, cmds []*command.Command) {
-	for _, cmd := range cmds {
-		c.trackOutstanding(j, cmd.ID, w)
-	}
-	c.sendWorker(c.workers[w], &proto.SpawnCommands{Job: j.id, Cmds: cmds, Barrier: true})
 }
 
 // trackOutstanding records a dispatched command, feeding the job's

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"nimbus/internal/core"
@@ -209,7 +208,7 @@ func (c *Controller) replayDef(j *jobState, m proto.Msg) {
 // controller switch (or a transient connection drop). The ID is the
 // worker's data-plane identity — peers address fetches by it and the
 // promoted directory will rebind the job state it still holds — so unlike
-// registration it is preserved, not allocated.
+// a fleet join it is preserved, not allocated.
 func (c *Controller) reconnectWorker(m *proto.WorkerReconnect, conn transport.Conn) {
 	if ws := c.workers[m.Worker]; ws != nil && ws.alive {
 		c.cfg.Logf("controller: reconnect for live %s rejected", m.Worker)
@@ -225,27 +224,11 @@ func (c *Controller) reconnectWorker(m *proto.WorkerReconnect, conn transport.Co
 		slots: m.Slots, alive: true, lastBeat: time.Now(),
 	}
 	c.workers[m.Worker] = ws
-	c.active = append(c.active, m.Worker)
-	sort.Slice(c.active, func(i, j int) bool { return c.active[i] < c.active[j] })
-	for _, j := range c.jobs {
-		j.ledgers[m.Worker] = flow.NewLedger(m.Worker)
-	}
-	peers := c.peerMap()
-	c.sendWorker(ws, &proto.RegisterWorkerAck{
-		Worker: m.Worker, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-	})
-	for _, other := range c.workers {
-		if other.id != m.Worker && other.alive {
-			c.sendWorker(other, &proto.RegisterWorkerAck{
-				Worker: other.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-			})
-		}
-	}
-	c.sendQuotas(ws)
+	c.sendWorker(ws, c.workerAck(ws, c.peerMap()))
+	delete(c.expectRejoin, m.Worker)
+	c.enterActive(ws)
 	c.wg.Add(1)
 	go c.pump(conn, m.Worker, ids.NoJob, false)
-	delete(c.expectRejoin, m.Worker)
-	c.maybeStartTakeover()
 }
 
 // reattachDriver rebinds a driver to its restored job on the promoted

@@ -535,7 +535,6 @@ type Builder struct {
 	inst   Instances
 	place  Placement
 	stages []*proto.SubmitStage
-	par    int
 }
 
 // NewBuilder returns a Builder resolving object instances from inst and
@@ -543,10 +542,6 @@ type Builder struct {
 func NewBuilder(inst Instances, place Placement) *Builder {
 	return &Builder{inst: inst, place: place}
 }
-
-// SetParallelism bounds the goroutine pool Finalize uses (0 = GOMAXPROCS,
-// 1 = fully serial).
-func (b *Builder) SetParallelism(par int) { b.par = par }
 
 // AddStage appends one stage to the template under construction after
 // validating it can be templated under the builder's placement.
@@ -558,10 +553,11 @@ func (b *Builder) AddStage(spec *proto.SubmitStage) error {
 	return nil
 }
 
-// Finalize builds the accumulated stages into an Assignment. Stages were
-// validated by AddStage, so the build cannot fail.
+// Finalize builds the accumulated stages into an Assignment, sharded over
+// GOMAXPROCS goroutines. Stages were validated by AddStage, so the build
+// cannot fail.
 func (b *Builder) Finalize(id ids.TemplateID) *Assignment {
-	a, err := BuildAssignment(id, b.inst, b.place, b.stages, b.par)
+	a, err := BuildAssignment(id, b.inst, b.place, b.stages, 0)
 	if err != nil {
 		// Unreachable: every build-time error is caught by AddStage's
 		// ValidateStage (errors are shape-, not task-dependent).

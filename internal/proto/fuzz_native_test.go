@@ -3,6 +3,7 @@ package proto
 import (
 	"testing"
 
+	"nimbus/internal/ids"
 	"nimbus/internal/wire"
 )
 
@@ -47,6 +48,17 @@ func hostileSeeds() [][]byte {
 		// more bytes than the tail carries, and a bare session close.
 		huge(byte(KindMuxData), 0x05, 0x01), // envelope raw-length over empty tail
 		{byte(KindSessionClose)},            // session close missing its id
+	}
+	// Retired kinds: frames of the removed register-worker (slot 1) and
+	// fleet-admit (the slot after FleetAnnounce) messages, whose bodies
+	// FleetAnnounce and RegisterWorkerAck still encode byte for byte. An
+	// old worker binary's frames must be rejected as unknown kinds.
+	for _, old := range [][]byte{
+		append([]byte{1}, Marshal(&FleetAnnounce{DataAddr: "data/1", Slots: 8})[1:]...),
+		append([]byte{byte(KindFleetAnnounce) + 1},
+			Marshal(&RegisterWorkerAck{Worker: 9, Peers: map[ids.WorkerID]string{1: "a"}, Eager: true})[1:]...),
+	} {
+		seeds = append(seeds, old, old[:len(old)/2], old[:1])
 	}
 	// Every valid message, marshaled, plus a truncated and a corrupted
 	// variant: the fuzzer mutates from realistic frames, not just noise.

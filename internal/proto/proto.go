@@ -9,7 +9,7 @@
 //	controller → worker     : command spawning, worker-template install/
 //	                          instantiate (with edits), patch install/
 //	                          instantiate, halt/resume, checkpoint
-//	worker     → controller : registration, batched completions, block
+//	worker     → controller : fleet announce, batched completions, block
 //	                          completion, heartbeats, fetched objects
 //	worker     → worker     : data payloads (push model)
 //
@@ -41,7 +41,9 @@ type MsgKind uint8
 
 // Message kinds.
 const (
-	KindRegisterWorker MsgKind = iota + 1
+	// Slot 1 is retired (the old register-worker handshake); it stays
+	// reserved so every other kind keeps its wire value.
+	_ MsgKind = iota + 1
 	KindRegisterWorkerAck
 	KindRegisterDriver
 	KindDefineVariable
@@ -96,14 +98,14 @@ const (
 	KindSessionClose
 	KindAdmissionReject
 	KindFleetAnnounce
-	KindFleetAdmit
+	_ // retired (fleet-admit; the admission reply is RegisterWorkerAck)
 	KindFleetWarm
 	KindFleetWarmAck
 	KindFleetReady
 	KindFleetDrain
 	KindFleetDecommission
 	// KindMax is one past the last registered message kind; coverage
-	// tests iterate [KindRegisterWorker, KindMax).
+	// tests iterate [1, KindMax), skipping the retired slots.
 	KindMax
 )
 
@@ -116,7 +118,6 @@ const KindBatch MsgKind = 0xFF
 // kindNames is the static name table indexed by MsgKind; it exists so
 // String never allocates on the hot logging/error paths.
 var kindNames = [...]string{
-	KindRegisterWorker:      "register-worker",
 	KindRegisterWorkerAck:   "register-worker-ack",
 	KindRegisterDriver:      "register-driver",
 	KindDefineVariable:      "define-variable",
@@ -171,7 +172,6 @@ var kindNames = [...]string{
 	KindSessionClose:        "session-close",
 	KindAdmissionReject:     "admission-reject",
 	KindFleetAnnounce:       "fleet-announce",
-	KindFleetAdmit:          "fleet-admit",
 	KindFleetWarm:           "fleet-warm",
 	KindFleetWarmAck:        "fleet-warm-ack",
 	KindFleetReady:          "fleet-ready",
@@ -212,12 +212,6 @@ func MarshalAppend(buf []byte, m Msg) []byte {
 	return putWriter(w)
 }
 
-// MarshalInto encodes m into w (kind prefix included), reusing w's buffer.
-func MarshalInto(m Msg, w *wire.Writer) {
-	w.Byte(byte(m.Kind()))
-	m.encode(w)
-}
-
 // Unmarshal decodes one message from b. Batch frames need ForEachMsg.
 func Unmarshal(b []byte) (Msg, error) {
 	r := wire.NewReader(b)
@@ -230,8 +224,6 @@ func Unmarshal(b []byte) (Msg, error) {
 
 func newMsg(kind MsgKind) Msg {
 	switch kind {
-	case KindRegisterWorker:
-		return &RegisterWorker{}
 	case KindRegisterWorkerAck:
 		return &RegisterWorkerAck{}
 	case KindRegisterDriver:
@@ -340,8 +332,6 @@ func newMsg(kind MsgKind) Msg {
 		return &AdmissionReject{}
 	case KindFleetAnnounce:
 		return &FleetAnnounce{}
-	case KindFleetAdmit:
-		return &FleetAdmit{}
 	case KindFleetWarm:
 		return &FleetWarm{}
 	case KindFleetWarmAck:
@@ -360,34 +350,10 @@ func newMsg(kind MsgKind) Msg {
 // ---------------------------------------------------------------------------
 // Registration
 
-// RegisterWorker is the first message a worker sends to the controller.
-// DataAddr is the worker's data-plane listen address, which the controller
-// distributes so workers can exchange data directly (control-plane
-// requirement 2, paper §3.1).
-type RegisterWorker struct {
-	DataAddr string
-	// Slots is the number of tasks the worker executes concurrently
-	// (c3.2xlarge workers in the paper have 8 cores).
-	Slots int
-}
-
-// Kind implements Msg.
-func (*RegisterWorker) Kind() MsgKind { return KindRegisterWorker }
-
-func (m *RegisterWorker) encode(w *wire.Writer) {
-	w.String(m.DataAddr)
-	w.Uvarint(uint64(m.Slots))
-}
-
-func (m *RegisterWorker) decode(r *wire.Reader) error {
-	m.DataAddr = r.String()
-	m.Slots = int(r.Uvarint())
-	return r.Err
-}
-
 // RegisterWorkerAck assigns the worker its ID and tells it about its peers'
-// data-plane addresses. Peers is keyed by worker ID; updates arrive as new
-// workers join.
+// data-plane addresses. Peers is keyed by worker ID. It is the reply to a
+// FleetAnnounce (admission) and to a WorkerReconnect, and later copies with
+// the full peer map refresh every worker as the fleet changes.
 type RegisterWorkerAck struct {
 	Worker ids.WorkerID
 	Peers  map[ids.WorkerID]string
@@ -1665,8 +1631,8 @@ type ReplJob struct {
 	Name   string
 	Weight int
 	// Tenant preserves the job's fair-share tenant across a failover.
-	Tenant  string
-	Applied uint64
+	Tenant    string
+	Applied   uint64
 	Ckpt      uint64
 	CkptCount uint64
 	Manifest  []ManifestEntry
@@ -2155,15 +2121,16 @@ func (m *AdmissionReject) decode(r *wire.Reader) error {
 
 // ---------------------------------------------------------------------------
 // Elastic fleet lifecycle (announce → admit → warm → ready; drain →
-// decommission). A joining worker announces itself instead of registering:
-// the controller admits it outside the active set, streams every live job's
-// active templates at it, and only enters it into placement once the worker
-// acknowledges the warm marker — so a new worker never takes traffic with a
-// cold template cache.
+// decommission). Every worker joins this way: the controller admits it
+// outside the active set, streams every live job's active templates at it,
+// and only enters it into placement once the worker acknowledges the warm
+// marker — so a new worker never takes traffic with a cold template cache.
+// With no live job there is nothing to warm, and the admit and FleetReady
+// go out together in reply to the announce.
 
-// FleetAnnounce is the first message an elastically-joining worker sends.
-// Unlike RegisterWorker it does not enter the worker into the active set:
-// the controller replies with FleetAdmit and runs the warm protocol first.
+// FleetAnnounce is the first message a new worker sends. The controller
+// replies with a RegisterWorkerAck (the admission: ID and peer map) and
+// runs the warm protocol before entering the worker into the active set.
 type FleetAnnounce struct {
 	DataAddr string
 	Slots    int
@@ -2180,43 +2147,6 @@ func (m *FleetAnnounce) encode(w *wire.Writer) {
 func (m *FleetAnnounce) decode(r *wire.Reader) error {
 	m.DataAddr = r.String()
 	m.Slots = int(r.Uvarint())
-	return r.Err
-}
-
-// FleetAdmit assigns an announcing worker its ID and peer map. The worker
-// is admitted but not yet active: template installs follow, then a
-// FleetWarm marker.
-type FleetAdmit struct {
-	Worker ids.WorkerID
-	Peers  map[ids.WorkerID]string
-	Eager  bool
-}
-
-// Kind implements Msg.
-func (*FleetAdmit) Kind() MsgKind { return KindFleetAdmit }
-
-func (m *FleetAdmit) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Worker))
-	w.Uvarint(uint64(len(m.Peers)))
-	for id, addr := range m.Peers {
-		w.Uvarint(uint64(id))
-		w.String(addr)
-	}
-	w.Bool(m.Eager)
-}
-
-func (m *FleetAdmit) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.Peers = make(map[ids.WorkerID]string, n)
-	for i := 0; i < n; i++ {
-		id := ids.WorkerID(r.Uvarint())
-		m.Peers[id] = r.String()
-	}
-	m.Eager = r.Bool()
 	return r.Err
 }
 

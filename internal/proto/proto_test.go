@@ -12,7 +12,6 @@ import (
 // everyMessage returns one populated instance of each message type.
 func everyMessage() []Msg {
 	return []Msg{
-		&RegisterWorker{DataAddr: "data/1", Slots: 8},
 		&RegisterWorkerAck{Worker: 3, Peers: map[ids.WorkerID]string{1: "a", 2: "b"}, Eager: true},
 		&RegisterDriver{Name: "drv", Weight: 2, Tenant: "acme", Priority: 3},
 		&RegisterDriverAck{Job: 2},
@@ -107,7 +106,6 @@ func everyMessage() []Msg {
 		&SessionClose{Session: 5},
 		&AdmissionReject{Code: RejectQueueFull, RetryAfterMillis: 250, Err: "admission queue full"},
 		&FleetAnnounce{DataAddr: "data/9", Slots: 8},
-		&FleetAdmit{Worker: 9, Peers: map[ids.WorkerID]string{1: "a", 2: "b"}, Eager: true},
 		&FleetWarm{Seq: 3},
 		&FleetWarmAck{Worker: 9, Seq: 3},
 		&FleetReady{Worker: 9},
@@ -137,7 +135,7 @@ func TestAllKindsCovered(t *testing.T) {
 	for _, m := range everyMessage() {
 		seen[m.Kind()] = true
 	}
-	for k := KindRegisterWorker; k < KindMax; k++ {
+	for k := MsgKind(1); k < KindMax; k++ {
 		if newMsg(k) == nil {
 			continue
 		}
@@ -150,6 +148,12 @@ func TestAllKindsCovered(t *testing.T) {
 func TestUnknownKind(t *testing.T) {
 	if _, err := Unmarshal([]byte{0xff}); err == nil {
 		t.Fatal("expected error for unknown kind")
+	}
+	// The retired register-worker and fleet-admit slots stay unknown.
+	for _, k := range []MsgKind{1, KindFleetAnnounce + 1} {
+		if _, err := Unmarshal([]byte{byte(k), 0x01, 0x00}); err == nil {
+			t.Fatalf("expected error for retired kind %d", k)
+		}
 	}
 	if _, err := Unmarshal(nil); err == nil {
 		t.Fatal("expected error for empty buffer")
@@ -168,7 +172,7 @@ func TestTruncatedMessage(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KindRegisterWorker; k < KindMax; k++ {
+	for k := MsgKind(1); k < KindMax; k++ {
 		if s := k.String(); s == "" {
 			t.Errorf("kind %d has empty name", k)
 		}

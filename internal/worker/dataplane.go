@@ -169,6 +169,14 @@ func (pc *peerConn) postSpace() {
 	}
 }
 
+// flushed reports whether the writer has handed every admitted item to
+// the transport, or never will (the queue is closed or its writer dead).
+func (pc *peerConn) flushed() bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.pending == 0 || pc.closed || pc.dead
+}
+
 // close shuts the queue down and recycles whatever it still holds.
 func (pc *peerConn) close() {
 	pc.mu.Lock()

@@ -94,12 +94,6 @@ type Config struct {
 	// CompressChunks flate-compresses data-plane chunks when that shrinks
 	// them (incompressible chunks ride raw).
 	CompressChunks bool
-	// FleetJoin selects the elastic-fleet handshake: the worker announces
-	// itself (FleetAnnounce) instead of registering, is warmed with every
-	// live job's templates before taking traffic, and honors drain /
-	// decommission orders. Ready() closes once the controller admits it
-	// into the active set.
-	FleetJoin bool
 	// Logf receives diagnostics. Nil defaults to log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -254,8 +248,8 @@ type Worker struct {
 	// Fleet lifecycle. drainFlag marks a FleetDrain received — in-flight
 	// work keeps executing, and a reconnect after failover clears it
 	// (drain-abort). readyCh closes when the worker enters the active set
-	// (at registration for fixed-fleet workers, at FleetReady for elastic
-	// joins). Both are observable off the event loop by tests.
+	// (at FleetReady, or when a reconnect readmits it). Both are
+	// observable off the event loop by tests.
 	drainFlag atomic.Bool
 	readyCh   chan struct{}
 	readyOnce sync.Once
@@ -585,8 +579,16 @@ func (w *Worker) StoreOf(job ids.JobID) *datastore.Store {
 	return nil
 }
 
-// Start connects to the controller, registers, and launches the event
-// loop. It returns once registration completes.
+// Start connects to the controller, joins the fleet, and launches the
+// event loop. It announces the worker (FleetAnnounce) and returns once the
+// controller has admitted it; Ready closes when the worker enters the
+// active set. The controller coalesces its whole admission turn into one
+// frame, so the admit may arrive with template installs and the FleetWarm
+// probe behind it — or, when no job is live, with FleetReady. Those extras
+// are fed into the event loop in order BEFORE the control pump starts,
+// preserving controller message order: the warm ack the controller is
+// waiting for must only be sent after every install in the same frame has
+// been applied.
 func (w *Worker) Start() error {
 	dir := w.cfg.SpillDir
 	if dir == "" {
@@ -621,101 +623,22 @@ func (w *Worker) Start() error {
 		return fmt.Errorf("worker: control dial: %w", err)
 	}
 	w.ctrl = ctrl
-	if w.cfg.FleetJoin {
-		return w.startFleet(ctrl, dl)
-	}
-	if err := w.sendCtrl(&proto.RegisterWorker{DataAddr: w.cfg.DataAddr, Slots: w.cfg.Slots}); err != nil {
-		dl.Close()
-		w.removeSpillDir()
-		return fmt.Errorf("worker: register: %w", err)
-	}
-	raw, err := ctrl.Recv()
+	ack, extra, err := w.handshake(ctrl, &proto.FleetAnnounce{DataAddr: w.cfg.DataAddr, Slots: w.cfg.Slots})
 	if err != nil {
-		dl.Close()
-		w.removeSpillDir()
-		return fmt.Errorf("worker: awaiting registration ack: %w", err)
-	}
-	msg, err := proto.Unmarshal(raw)
-	proto.PutBuf(raw)
-	if err != nil {
-		dl.Close()
-		w.removeSpillDir()
-		return err
-	}
-	ack, ok := msg.(*proto.RegisterWorkerAck)
-	if !ok {
-		dl.Close()
-		w.removeSpillDir()
-		return fmt.Errorf("worker: expected registration ack, got %s", msg.Kind())
-	}
-	w.id = ack.Worker
-	w.eager = ack.Eager
-	for id, addr := range ack.Peers {
-		w.peers[id] = addr
-	}
-	// Registered workers are in the active set from the first event-loop
-	// turn; there is no warm phase to wait out.
-	w.readyOnce.Do(func() { close(w.readyCh) })
-
-	w.wg.Add(3)
-	go w.ctrlPump(ctrl)
-	go w.acceptLoop(dl)
-	go w.run(dl)
-	if w.cfg.HeartbeatEvery > 0 {
-		w.wg.Add(1)
-		go w.heartbeatLoop()
-	}
-	return nil
-}
-
-// startFleet runs the elastic-join handshake: announce, await admission.
-// The controller coalesces its whole admission turn into one frame, so
-// the admit may arrive with template installs and the FleetWarm probe
-// behind it. Those extras are fed into the event loop in order BEFORE the
-// control pump starts, preserving controller message order — the warm ack
-// the controller is waiting for must only be sent after every install in
-// the same frame has been applied.
-func (w *Worker) startFleet(ctrl transport.Conn, dl transport.Listener) error {
-	fail := func(err error) error {
 		ctrl.Close()
 		dl.Close()
 		w.removeSpillDir()
-		return err
+		return fmt.Errorf("worker: fleet admission: %w", err)
 	}
-	if err := w.sendCtrl(&proto.FleetAnnounce{DataAddr: w.cfg.DataAddr, Slots: w.cfg.Slots}); err != nil {
-		return fail(fmt.Errorf("worker: fleet announce: %w", err))
-	}
-	raw, err := ctrl.Recv()
-	if err != nil {
-		return fail(fmt.Errorf("worker: awaiting fleet admission: %w", err))
-	}
-	var msgs []proto.Msg
-	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
-		msgs = append(msgs, m)
-		return nil
-	})
-	proto.PutBuf(raw)
-	if err != nil {
-		return fail(err)
-	}
-	if len(msgs) == 0 {
-		return fail(fmt.Errorf("worker: empty fleet admission frame"))
-	}
-	admit, ok := msgs[0].(*proto.FleetAdmit)
-	if !ok {
-		return fail(fmt.Errorf("worker: expected fleet admit, got %s", msgs[0].Kind()))
-	}
-	w.id = admit.Worker
-	w.eager = admit.Eager
-	for id, addr := range admit.Peers {
-		w.peers[id] = addr
-	}
+	w.id = ack.Worker
+	w.eager = ack.Eager
+	w.setPeers(ack.Peers)
 	w.wg.Add(2)
 	go w.acceptLoop(dl)
 	go w.run(dl)
 	// The event loop is live and draining, so these sends cannot deadlock
 	// even if the admission frame outruns the channel buffer.
-	for _, m := range msgs[1:] {
+	for _, m := range extra {
 		w.events <- event{kind: evCtrl, msg: m}
 	}
 	w.wg.Add(1)
@@ -727,9 +650,17 @@ func (w *Worker) startFleet(ctrl transport.Conn, dl transport.Listener) error {
 	return nil
 }
 
+// setPeers merges a controller-sent peer map into the worker's view of
+// its peers' data-plane addresses.
+func (w *Worker) setPeers(peers map[ids.WorkerID]string) {
+	for id, addr := range peers {
+		w.peers[id] = addr
+	}
+}
+
 // Ready is closed once the controller has entered this worker into the
-// active set: immediately after registration for fixed-fleet workers, at
-// FleetReady (warm complete) for elastic joins.
+// active set: at FleetReady (warm complete, or straight after admission
+// when no job was live), or when a reconnect readmits it.
 func (w *Worker) Ready() <-chan struct{} { return w.readyCh }
 
 // Draining reports whether a FleetDrain order is in effect.
@@ -970,7 +901,9 @@ func (w *Worker) reconnectLoop() {
 		if err != nil {
 			return // stopped
 		}
-		ack, extra, err := w.reconnectHandshake(conn)
+		ack, extra, err := w.handshake(conn, &proto.WorkerReconnect{
+			Worker: w.id, DataAddr: w.cfg.DataAddr, Slots: w.cfg.Slots,
+		})
 		if err != nil {
 			conn.Close()
 			select {
@@ -989,16 +922,15 @@ func (w *Worker) reconnectLoop() {
 	}
 }
 
-// reconnectHandshake runs the reattach exchange on a fresh connection:
-// announce the prior identity, await the ack. The controller batches its
-// event-loop turn into one frame, so the ack may arrive with quota, halt
-// or other control messages behind it — those are returned for the event
-// loop to process in order after the swap. A watcher unblocks the Recv if
-// the worker stops mid-handshake.
-func (w *Worker) reconnectHandshake(conn transport.Conn) (*proto.RegisterWorkerAck, []proto.Msg, error) {
-	buf := proto.MarshalAppend(proto.GetBuf(), &proto.WorkerReconnect{
-		Worker: w.id, DataAddr: w.cfg.DataAddr, Slots: w.cfg.Slots,
-	})
+// handshake sends hello — FleetAnnounce to join, WorkerReconnect to
+// reattach — on a fresh control connection and reads the controller's
+// reply frame, which must open with a RegisterWorkerAck. The controller
+// batches its event-loop turn into one frame, so the ack may arrive with
+// installs, quota, halt or other control messages behind it; those are
+// returned for the event loop to process in order. A watcher unblocks the
+// Recv if the worker stops mid-handshake.
+func (w *Worker) handshake(conn transport.Conn, hello proto.Msg) (*proto.RegisterWorkerAck, []proto.Msg, error) {
+	buf := proto.MarshalAppend(proto.GetBuf(), hello)
 	if owned, err := transport.SendOwned(conn, buf); err != nil {
 		if !owned {
 			proto.PutBuf(buf)
@@ -1030,11 +962,11 @@ func (w *Worker) reconnectHandshake(conn transport.Conn) (*proto.RegisterWorkerA
 		return nil, nil, err
 	}
 	if len(msgs) == 0 {
-		return nil, nil, fmt.Errorf("worker: empty reconnect handshake frame")
+		return nil, nil, fmt.Errorf("empty %s reply frame", hello.Kind())
 	}
 	ack, ok := msgs[0].(*proto.RegisterWorkerAck)
 	if !ok {
-		return nil, nil, fmt.Errorf("worker: expected reconnect ack, got %s", msgs[0].Kind())
+		return nil, nil, fmt.Errorf("expected %s ack, got %s", hello.Kind(), msgs[0].Kind())
 	}
 	return ack, msgs[1:], nil
 }
@@ -1054,9 +986,7 @@ func (w *Worker) completeReconnect(conn transport.Conn, ack *proto.RegisterWorke
 	w.drainFlag.Store(false)
 	w.readyOnce.Do(func() { close(w.readyCh) })
 	w.eager = ack.Eager
-	for id, addr := range ack.Peers {
-		w.peers[id] = addr
-	}
+	w.setPeers(ack.Peers)
 	out := w.outbuf
 	w.outbuf = nil
 	for i, buf := range out {
@@ -1094,6 +1024,29 @@ func (w *Worker) completeReconnect(conn transport.Conn, ack *proto.RegisterWorke
 	return false
 }
 
+// decommissionFlush bounds how long a decommissioned worker waits for its
+// outbound peer queues to drain before it exits.
+const decommissionFlush = 5 * time.Second
+
+// flushPeers waits, up to decommissionFlush, until every outbound peer
+// queue has handed its admitted frames to the transport. A small CopySend
+// completes at admission, so when the controller decommissions a quiet
+// worker a peer may still be waiting on a frame that sits in one of these
+// queues; exiting without the flush would drop it and leave the receiving
+// command outstanding forever.
+func (w *Worker) flushPeers() {
+	deadline := time.Now().Add(decommissionFlush)
+	for _, pc := range w.peerConns {
+		for !pc.flushed() {
+			if time.Now().After(deadline) {
+				w.cfg.Logf("worker %s: decommission flush to %s timed out; dropping its queue", w.id, pc.dst)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 func (w *Worker) closePeers() {
 	for _, pc := range w.peerConns {
 		pc.close()
@@ -1107,9 +1060,7 @@ func (w *Worker) handleCtrl(msg proto.Msg) bool {
 	switch m := msg.(type) {
 	case *proto.RegisterWorkerAck:
 		// Peer updates arrive as repeated acks with the full peer map.
-		for id, addr := range m.Peers {
-			w.peers[id] = addr
-		}
+		w.setPeers(m.Peers)
 	case *proto.SpawnCommands:
 		js := w.job(m.Job)
 		w.enqueue(w.newBatchUnit(js, m.Cmds, m.Barrier))
@@ -1140,6 +1091,7 @@ func (w *Worker) handleCtrl(msg proto.Msg) bool {
 	case *proto.FleetDrain:
 		w.drainFlag.Store(true)
 	case *proto.FleetDecommission:
+		w.flushPeers()
 		return true
 	case *proto.Shutdown:
 		return true

@@ -49,7 +49,9 @@ func startWorkerHarness(t *testing.T) *fakeController {
 	errc := make(chan error, 1)
 	go func() { errc <- w.Start() }()
 	conn := <-accepted
-	// Consume the registration and ack it.
+	// Consume the announce and admit the worker with nothing to warm: the
+	// admission ack and FleetReady share one frame, as from a controller
+	// with no live job.
 	raw, err := conn.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -58,14 +60,23 @@ func startWorkerHarness(t *testing.T) *fakeController {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(*proto.RegisterWorker); !ok {
+	if _, ok := msg.(*proto.FleetAnnounce); !ok {
 		t.Fatalf("first message = %s", msg.Kind())
 	}
-	if err := conn.Send(proto.Marshal(&proto.RegisterWorkerAck{Worker: 1})); err != nil {
+	admit := proto.AppendBatch(nil, []proto.Msg{
+		&proto.RegisterWorkerAck{Worker: 1},
+		&proto.FleetReady{Worker: 1},
+	})
+	if err := conn.Send(admit); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("worker start: %v", err)
+	}
+	select {
+	case <-w.Ready():
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker not ready 5s after admission")
 	}
 	fc.conn = conn
 	fc.w = w
