@@ -14,6 +14,7 @@ package nimbus_bench
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -713,6 +714,87 @@ func BenchmarkWorkerInstantiate(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n+1), "ns/cmd")
 	})
+}
+
+// BenchmarkPeerSmallSends measures the data-plane sender on the traffic a
+// grouped reduce makes: one template instantiation issues 768 CopySends of
+// empty objects from one worker to one peer over TCP loopback, and an op
+// ends when the peer has decoded all 768 DataPayloads. frames/op counts
+// the TCP frames that carried them: 768 if every payload took its own
+// write, fewer as the peer writer batches the sends that queued up behind
+// its previous write.
+func BenchmarkPeerSmallSends(b *testing.B) {
+	const sends = 768
+	lis, err := transport.TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lis.Close()
+	var frames atomic.Int64
+	opDone := make(chan struct{}, 1)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		payloads := 0
+		for {
+			raw, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			frames.Add(1)
+			if err := proto.ForEachMsg(raw, func(proto.Msg) error {
+				payloads++
+				return nil
+			}); err != nil {
+				panic(err)
+			}
+			proto.PutBuf(raw)
+			for ; payloads >= sends; payloads -= sends {
+				opDone <- struct{}{}
+			}
+		}
+	}()
+
+	bl := worker.NewBenchLoopConfig(worker.Config{Slots: 1, Transport: transport.TCP{}})
+	defer bl.Close()
+	bl.Apply(&proto.RegisterWorkerAck{Worker: 1, Peers: map[ids.WorkerID]string{2: lis.Addr()}})
+	creates := make([]*command.Command, sends)
+	entries := make([]command.TemplateEntry, sends)
+	for i := range entries {
+		obj := ids.ObjectID(i + 1)
+		creates[i] = &command.Command{
+			ID: ids.CommandID(i + 1), Kind: command.Create,
+			Writes: []ids.ObjectID{obj}, Logical: ids.LogicalID(obj),
+		}
+		entries[i] = command.TemplateEntry{
+			Index: int32(i), Kind: command.CopySend,
+			Reads: []ids.ObjectID{obj}, Logical: ids.LogicalID(obj),
+			ParamSlot: command.NoParamSlot,
+			DstWorker: 2, DstIdx: int32(sends + i),
+		}
+	}
+	bl.Apply(&proto.SpawnCommands{Cmds: creates})
+	bl.Apply(&proto.InstallTemplate{Template: 1, Name: "sends", Entries: entries})
+	const span = 2 * sends
+	run := func(i uint64) {
+		base := ids.CommandID(1 + (i+1)*span) // above the creates' IDs
+		bl.Apply(&proto.InstantiateTemplate{
+			Template: 1, Instance: i + 1, Base: base, DoneWatermark: base,
+		})
+		<-opDone
+	}
+	for i := uint64(0); i < 8; i++ { // dial the peer and warm the pools
+		run(i)
+	}
+	frames.Store(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(uint64(i) + 8)
+	}
+	b.ReportMetric(float64(frames.Load())/float64(b.N), "frames/op")
 }
 
 // BenchmarkDriverLoop measures the three ways a driver can run an

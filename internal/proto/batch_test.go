@@ -1,11 +1,14 @@
 package proto
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"nimbus/internal/ids"
 	"nimbus/internal/wire"
 )
 
@@ -56,6 +59,37 @@ func TestBatchSingleMessageIsBare(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("decoded %d messages, want 1", n)
+	}
+}
+
+// TestBatchIsConcatenatedMarshals pins the invariant the worker's peer
+// writer relies on when it coalesces queued frames without re-encoding:
+// a batch of n messages is byte for byte [KindBatch][uvarint n] followed
+// by each message's own MarshalAppend output, in order. Counts of 128 and
+// more take a two-byte uvarint.
+func TestBatchIsConcatenatedMarshals(t *testing.T) {
+	all := everyMessage()
+	for i, m := range all {
+		if ack, ok := m.(*RegisterWorkerAck); ok {
+			// Peers encodes in map iteration order; one entry keeps the
+			// two encodings comparable.
+			one := *ack
+			one.Peers = map[ids.WorkerID]string{1: "a"}
+			all[i] = &one
+		}
+	}
+	for _, n := range []int{2, len(all), 300} {
+		msgs := make([]Msg, n)
+		for i := range msgs {
+			msgs[i] = all[i%len(all)]
+		}
+		want := binary.AppendUvarint([]byte{byte(KindBatch)}, uint64(n))
+		for _, m := range msgs {
+			want = MarshalAppend(want, m)
+		}
+		if got := AppendBatch(nil, msgs); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: AppendBatch differs from the concatenated marshals (%d vs %d bytes)", n, len(got), len(want))
+		}
 	}
 }
 

@@ -58,7 +58,10 @@ func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 
 // tcpConn frames messages over a net.Conn. Sends are serialized by a mutex
 // and flushed immediately: control-plane messages are small and latency
-// sensitive, so batching is left to callers.
+// sensitive, so batching is left to callers. Two callers batch: the
+// controller's per-worker send coalescer (one frame per worker per event)
+// and the worker's peer writer (small data-plane sends that queued behind
+// a write leave as one frame).
 //
 // tcpConn deliberately does not implement OwnedSender: Send copies into the
 // bufio writer and returns without retaining b, so a pooled caller buffer

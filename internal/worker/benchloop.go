@@ -24,8 +24,14 @@ type BenchLoop struct {
 
 // NewBenchLoop builds a loopback worker with the given executor slot
 // count.
-func NewBenchLoop(slots int) *BenchLoop {
-	w := New(Config{Slots: slots})
+func NewBenchLoop(slots int) *BenchLoop { return NewBenchLoopConfig(Config{Slots: slots}) }
+
+// NewBenchLoopConfig builds a loopback worker from cfg. A benchmark of the
+// data plane sets cfg.Transport and names its peers with a
+// RegisterWorkerAck; CopySends then reach them through the live peer
+// writers, which Close stops.
+func NewBenchLoopConfig(cfg Config) *BenchLoop {
+	w := New(cfg)
 	local, remote := transport.Pipe(0)
 	w.ctrl = local
 	w.id = 1
@@ -75,6 +81,7 @@ func (b *BenchLoop) Drain() {
 
 // Close tears the loopback down.
 func (b *BenchLoop) Close() {
+	b.W.closePeers()
 	b.drain.Close()
 	b.W.ctrl.Close()
 }

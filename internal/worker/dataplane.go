@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"nimbus/internal/datastore"
@@ -32,6 +33,13 @@ import (
 //     the transport (the writer posts evDone). Until then the object's
 //     buffer is shared with the store, which is safe because before sets
 //     order any writer of the object after the copy's completion.
+//
+// The writer drains the queue in runs: small frames that queued up behind
+// the head while it was inside its previous write leave as one KindBatch
+// frame (one write instead of one per payload), up to one chunk of bytes
+// and never past a chunked transfer, so FIFO order holds. A run of one is
+// sent as is, keeping Mem's zero-copy hand-off. Nothing waits for a batch
+// to fill, so an idle link adds no latency.
 
 // peerItem is one queue entry: a pre-marshaled single frame (small
 // payloads, at most one chunk) or a chunked transfer descriptor.
@@ -126,24 +134,42 @@ func (pc *peerConn) enqueue(it peerItem) admit {
 	return admitOK
 }
 
-func (pc *peerConn) next() (peerItem, bool) {
+// nextRun blocks until the queue holds an item, then pops a run of items
+// into run[:0] (reusing its backing array): the head item and, when it is
+// a small frame, every small frame queued right behind it, as long as the
+// run's frames total at most maxBytes. A chunked transfer always runs
+// alone, so small sends and streams leave in FIFO order. It reports false
+// once the queue is closed.
+func (pc *peerConn) nextRun(run []peerItem, maxBytes int) ([]peerItem, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	for pc.head == len(pc.queue) && !pc.closed {
 		pc.cond.Wait()
 	}
+	run = run[:0]
 	if pc.head == len(pc.queue) {
-		return peerItem{}, false
+		return run, false
 	}
-	it := pc.queue[pc.head]
-	pc.queue[pc.head] = peerItem{} // do not pin the item once popped
-	pc.head++
+	n := 0
+	for pc.head < len(pc.queue) {
+		it := pc.queue[pc.head]
+		if len(run) > 0 && (it.xfer != nil || n+len(it.frame) > maxBytes) {
+			break
+		}
+		run = append(run, it)
+		n += len(it.frame)
+		pc.queue[pc.head] = peerItem{} // do not pin the item once popped
+		pc.head++
+		if it.xfer != nil {
+			break
+		}
+	}
 	if pc.head == len(pc.queue) {
 		// Drained: reuse the backing array from the start.
 		pc.queue = pc.queue[:0]
 		pc.head = 0
 	}
-	return it, true
+	return run, true
 }
 
 // release returns an item's bytes to the budget once the writer is done
@@ -382,13 +408,22 @@ func (w *Worker) peerWriter(pc *peerConn) {
 	w.wg.Add(1)
 	go w.creditPump(conn, pc)
 	defer func() { conn.Close() }()
+	var run []peerItem
 	for {
-		it, ok := pc.next()
+		var ok bool
+		run, ok = pc.nextRun(run, w.chunkSize)
 		if !ok {
 			return
 		}
+		// A run of one goes out as is, so Mem still takes the frame over
+		// without a copy; a longer run goes out as one batch frame.
+		it, n := run[0], len(run)
+		if n > 1 {
+			it.frame, it.size = batchFrame(run)
+		}
+		clear(run) // do not pin the run's items until the next pop
 		if it.xfer == nil {
-			alive := w.sendFrame(pc, &conn, it.frame)
+			alive := w.sendFrame(pc, &conn, it.frame, n)
 			pc.release(it.size)
 			if !alive {
 				return
@@ -409,6 +444,35 @@ func (w *Worker) peerWriter(pc *peerConn) {
 	}
 }
 
+// batchFrame copies a run of queued frames, in order, into one exact-size
+// KindBatch frame — [KindBatch][uvarint n] then the frames — and recycles
+// the originals. Each queued frame is one kind-prefixed message, so the
+// result is byte for byte what proto.AppendBatch encodes for the run's
+// messages, and the receiver's ForEachMsg splits it again. It returns the
+// frame and the run's admitted bytes.
+func batchFrame(run []peerItem) ([]byte, int64) {
+	var hdr [1 + binary.MaxVarintLen64]byte
+	hdr[0] = byte(proto.KindBatch)
+	h := hdr[:1+binary.PutUvarint(hdr[1:], uint64(len(run)))]
+	need := len(h)
+	var size int64
+	for _, it := range run {
+		need += len(it.frame)
+		size += it.size
+	}
+	b := proto.GetBuf()
+	if cap(b) < need {
+		proto.PutBuf(b)
+		b = make([]byte, 0, need)
+	}
+	b = append(b, h...)
+	for _, it := range run {
+		b = append(b, it.frame...)
+		proto.PutBuf(it.frame)
+	}
+	return b, size
+}
+
 // redialPeer replaces a failed connection, retrying until the worker
 // stops. Each fresh connection gets its own creditPump (the old one exits
 // with its connection).
@@ -425,11 +489,12 @@ func (w *Worker) redialPeer(pc *peerConn, connp *transport.Conn) bool {
 	return true
 }
 
-// sendFrame delivers one pre-marshaled frame, redialing on failure. A
-// frame a failing transport consumed (owned) cannot be resent — that one
-// payload is dropped and counted, but the connection still recovers for
-// subsequent traffic. Returns false when the worker is stopping.
-func (w *Worker) sendFrame(pc *peerConn, connp *transport.Conn, b []byte) bool {
+// sendFrame delivers one pre-marshaled frame carrying n payloads (a batch
+// frame carries its whole run), redialing on failure. A frame a failing
+// transport consumed (owned) cannot be resent — its n payloads are dropped
+// and counted, but the connection still recovers for subsequent traffic.
+// Returns false when the worker is stopping.
+func (w *Worker) sendFrame(pc *peerConn, connp *transport.Conn, b []byte, n int) bool {
 	for {
 		owned, err := transport.SendOwned(*connp, b)
 		if err == nil {
@@ -439,8 +504,8 @@ func (w *Worker) sendFrame(pc *peerConn, connp *transport.Conn, b []byte) bool {
 			return true
 		}
 		if owned {
-			w.Stats.PeerSendDrops.Add(1)
-			w.cfg.Logf("worker %s: frame to peer %s lost: %v", w.id, pc.dst, err)
+			w.Stats.PeerSendDrops.Add(uint64(n))
+			w.cfg.Logf("worker %s: frame of %d payload(s) to peer %s lost: %v", w.id, n, pc.dst, err)
 		}
 		if !w.redialPeer(pc, connp) {
 			if !owned {

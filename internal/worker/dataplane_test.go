@@ -2,6 +2,8 @@ package worker
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -85,13 +87,17 @@ func TestPeerConnConcurrentRace(t *testing.T) {
 	wg.Add(1)
 	go func() { // consumer
 		defer wg.Done()
+		var run []peerItem
 		for {
-			it, ok := pc.next()
+			var ok bool
+			run, ok = pc.nextRun(run, w.chunkSize)
 			if !ok {
 				return
 			}
-			proto.PutBuf(it.frame)
-			pc.release(it.size)
+			for _, it := range run {
+				proto.PutBuf(it.frame)
+				pc.release(it.size)
+			}
 		}
 	}()
 	wg.Add(1)
@@ -447,19 +453,22 @@ func TestSmallSendAllocCeiling(t *testing.T) {
 	js := w.job(1)
 	js.store.Install(5, 5, 1, bytes.Repeat([]byte{3}, 512))
 	snd := copySendCmd(w, js, 1, 5, 2)
+	run := make([]peerItem, 0, 1)
 
 	// Warm the buffer pool.
 	for i := 0; i < 8; i++ {
 		if !w.execSend(js, snd) {
 			t.Fatal("small send did not complete synchronously")
 		}
-		it, _ := pc.next()
+		run, _ = pc.nextRun(run, w.chunkSize)
+		it := run[0]
 		proto.PutBuf(it.frame)
 		pc.release(it.size)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		w.execSend(js, snd)
-		it, _ := pc.next()
+		run, _ = pc.nextRun(run, w.chunkSize)
+		it := run[0]
 		proto.PutBuf(it.frame)
 		pc.release(it.size)
 	})
@@ -576,4 +585,320 @@ func TestWorkerChunkedCopyEndToEnd(t *testing.T) {
 	if got := w.Stats.XfersSent.Load(); got != 1 {
 		t.Fatalf("XfersSent = %d, want 1", got)
 	}
+}
+
+// peerFrame is one frame a test peer received: its length on the wire
+// and the messages it decoded to.
+type peerFrame struct {
+	size int
+	msgs []proto.Msg
+}
+
+// listenPeer plays a peer's data plane at addr: every frame arriving on
+// any accepted connection is decoded through ForEachMsg and reported in
+// arrival order.
+func listenPeer(t *testing.T, tr transport.Transport, addr string) <-chan peerFrame {
+	t.Helper()
+	lis, err := tr.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	frames := make(chan peerFrame, 1024)
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					raw, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					f := peerFrame{size: len(raw)}
+					err = proto.ForEachMsg(raw, func(m proto.Msg) error {
+						f.msgs = append(f.msgs, m)
+						return nil
+					})
+					proto.PutBuf(raw)
+					if err != nil {
+						t.Errorf("peer decode: %v", err)
+						return
+					}
+					frames <- f
+				}
+			}()
+		}
+	}()
+	return frames
+}
+
+func nextFrame(t *testing.T, frames <-chan peerFrame) peerFrame {
+	t.Helper()
+	select {
+	case f := <-frames:
+		return f
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame reached the peer")
+		return peerFrame{}
+	}
+}
+
+// idlePeer registers an outbound connection to peer 2 at addr whose
+// writer has not started, so sends queue up behind it.
+func idlePeer(w *Worker, addr string) *peerConn {
+	pc := newPeerConn(w, 2, addr)
+	w.peers[2] = addr
+	w.peerConns[2] = pc
+	return pc
+}
+
+// runWriter starts pc's writer and stops it, and every goroutine it
+// started, when the test ends.
+func runWriter(t *testing.T, w *Worker, pc *peerConn) {
+	w.wg.Add(1)
+	go w.peerWriter(pc)
+	t.Cleanup(func() {
+		pc.close()
+		close(w.stopped)
+		w.wg.Wait()
+	})
+}
+
+// queueSmall admits one small CopySend to peer 2 with command ID id; the
+// payload it produces is addressed to DstCommand id+1000.
+func queueSmall(t *testing.T, w *Worker, js *jstate, id ids.CommandID, data []byte) {
+	t.Helper()
+	obj := ids.ObjectID(id)
+	js.store.Install(obj, ids.LogicalID(obj), 1, data)
+	if !w.execSend(js, copySendCmd(w, js, id, obj, 2)) {
+		t.Fatalf("small send %d did not complete at admission", id)
+	}
+}
+
+// expectPayloads checks that msgs are the DataPayloads for commands
+// first, first+1, ... in that order.
+func expectPayloads(t *testing.T, msgs []proto.Msg, first ids.CommandID) {
+	t.Helper()
+	for i, m := range msgs {
+		p, ok := m.(*proto.DataPayload)
+		if !ok {
+			t.Fatalf("message %d is %s, want DataPayload", i, m.Kind())
+		}
+		if want := first + ids.CommandID(i) + 1000; p.DstCommand != want {
+			t.Fatalf("payload %d addressed to %s, want %s (FIFO order)", i, p.DstCommand, want)
+		}
+	}
+}
+
+// TestPeerWriterCoalescesQueuedSends: small sends that queued while the
+// writer was busy leave as one batch frame, in FIFO order.
+func TestPeerWriterCoalescesQueuedSends(t *testing.T) {
+	tr := transport.NewCounting(transport.NewMem(0))
+	frames := listenPeer(t, tr, "peer")
+	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d", Transport: tr})
+	pc := idlePeer(w, "peer")
+	js := w.job(1)
+	const n = 50
+	for i := 1; i <= n; i++ {
+		queueSmall(t, w, js, ids.CommandID(i), nil)
+	}
+	runWriter(t, w, pc)
+
+	f := nextFrame(t, frames)
+	if len(f.msgs) != n {
+		t.Fatalf("first frame carried %d payloads, want all %d", len(f.msgs), n)
+	}
+	expectPayloads(t, f.msgs, 1)
+	if got := tr.Sends(); got != 1 {
+		t.Fatalf("writer sent %d frames, want 1", got)
+	}
+	if got := w.Stats.CopiesSent.Load(); got != n {
+		t.Fatalf("CopiesSent = %d, want %d", got, n)
+	}
+}
+
+// TestPeerWriterTransferSplitsRun: a chunked transfer queued between
+// small sends ends the run, so the stream arrives between two batches.
+func TestPeerWriterTransferSplitsRun(t *testing.T) {
+	const chunk = 1 << 10
+	tr := transport.NewMem(0)
+	frames := listenPeer(t, tr, "peer")
+	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d", Transport: tr, ChunkSize: chunk})
+	pc := idlePeer(w, "peer")
+	js := w.job(1)
+	queueSmall(t, w, js, 1, []byte("a"))
+	queueSmall(t, w, js, 2, []byte("b"))
+	js.store.Install(3, 3, 1, bytes.Repeat([]byte{7}, 3*chunk)) // 3 chunks, inside InitWindow
+	if w.execSend(js, copySendCmd(w, js, 3, 3, 2)) {
+		t.Fatal("chunked send completed at admission")
+	}
+	queueSmall(t, w, js, 4, []byte("c"))
+	queueSmall(t, w, js, 5, []byte("d"))
+	runWriter(t, w, pc)
+
+	f := nextFrame(t, frames)
+	if len(f.msgs) != 2 {
+		t.Fatalf("first frame carried %d messages, want the 2 sends before the transfer", len(f.msgs))
+	}
+	expectPayloads(t, f.msgs, 1)
+	for seq := uint32(0); seq < 3; seq++ {
+		f = nextFrame(t, frames)
+		c, ok := f.msgs[0].(*proto.DataChunk)
+		if len(f.msgs) != 1 || !ok || c.Seq != seq {
+			t.Fatalf("frame %d: got %d messages (first %s), want DataChunk seq %d alone", seq+1, len(f.msgs), f.msgs[0].Kind(), seq)
+		}
+	}
+	f = nextFrame(t, frames)
+	if len(f.msgs) != 2 {
+		t.Fatalf("last frame carried %d messages, want the 2 sends after the transfer", len(f.msgs))
+	}
+	expectPayloads(t, f.msgs, 4)
+}
+
+// TestPeerRunStopsAtChunkSize: a run takes queued small frames only while
+// they total at most one chunk, so a batch frame stays one chunk's size
+// (plus its count header) and recycles through the codec pool. A frame
+// over the cap still moves, alone.
+func TestPeerRunStopsAtChunkSize(t *testing.T) {
+	const chunk = 1 << 10
+	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d", ChunkSize: chunk})
+	pc := newPeerConn(w, 2, "peer")
+	for _, n := range []int{300, 300, 300, 300, 2000, 100} {
+		if got := pc.enqueue(peerItem{frame: make([]byte, n), size: int64(n)}); got != admitOK {
+			t.Fatalf("enqueue %d bytes: %v", n, got)
+		}
+	}
+	var run []peerItem
+	for i, want := range []int{3, 1, 1, 1} {
+		var ok bool
+		run, ok = pc.nextRun(run, w.chunkSize)
+		if !ok || len(run) != want {
+			t.Fatalf("run %d: %d items (ok=%v), want %d", i, len(run), ok, want)
+		}
+		if len(run) > 1 {
+			if b, _ := batchFrame(run); len(b) > chunk+1+binary.MaxVarintLen64 {
+				t.Fatalf("run %d: batch frame of %d bytes exceeds one chunk", i, len(b))
+			}
+		}
+	}
+}
+
+// resetOnce wraps a Transport: the first connection it dials fails its
+// first send, delivering nothing, as a reset link would. With owned set
+// its connections are OwnedSenders, so that failing send consumes the
+// frame it was handed.
+type resetOnce struct {
+	transport.Transport
+	owned bool
+	dials atomic.Int32
+}
+
+var errReset = errors.New("connection reset by peer")
+
+func (r *resetOnce) Dial(addr string) (transport.Conn, error) {
+	c, err := r.Transport.Dial(addr)
+	if err != nil || r.dials.Add(1) > 1 {
+		return c, err
+	}
+	rc := &resetConn{Conn: c}
+	if r.owned {
+		return ownedResetConn{rc}, nil
+	}
+	return rc, nil
+}
+
+type resetConn struct {
+	transport.Conn
+	failed atomic.Bool
+}
+
+func (c *resetConn) Send(b []byte) error {
+	if c.failed.CompareAndSwap(false, true) {
+		return errReset
+	}
+	return c.Conn.Send(b)
+}
+
+type ownedResetConn struct{ *resetConn }
+
+func (c ownedResetConn) SendOwned(b []byte) error {
+	if c.failed.CompareAndSwap(false, true) {
+		proto.PutBuf(b)
+		return errReset
+	}
+	return c.Conn.(transport.OwnedSender).SendOwned(b)
+}
+
+// waitCount polls a counter until it reaches want.
+func waitCount(t *testing.T, name string, c *atomic.Uint64, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := c.Load(); got != want {
+		t.Fatalf("%s = %d, want %d", name, got, want)
+	}
+}
+
+// TestPeerRedialResendsCopiedBatch: a copying connection that fails a
+// batch leaves the frame with the writer, which redials and resends it,
+// so every payload arrives exactly once and in order.
+func TestPeerRedialResendsCopiedBatch(t *testing.T) {
+	tr := &resetOnce{Transport: transport.NewMem(0)}
+	frames := listenPeer(t, tr, "peer")
+	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d", Transport: tr})
+	pc := idlePeer(w, "peer")
+	js := w.job(1)
+	const n = 20
+	for i := 1; i <= n; i++ {
+		queueSmall(t, w, js, ids.CommandID(i), []byte{byte(i)})
+	}
+	runWriter(t, w, pc)
+
+	f := nextFrame(t, frames)
+	if len(f.msgs) != n {
+		t.Fatalf("resent frame carried %d payloads, want %d", len(f.msgs), n)
+	}
+	expectPayloads(t, f.msgs, 1)
+	select {
+	case f := <-frames:
+		t.Fatalf("unexpected second frame of %d messages: a payload arrived twice", len(f.msgs))
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := w.Stats.PeerRedials.Load(); got != 1 {
+		t.Fatalf("PeerRedials = %d, want 1", got)
+	}
+	if got := w.Stats.PeerSendDrops.Load(); got != 0 {
+		t.Fatalf("PeerSendDrops = %d, want 0: the copying send kept its frame", got)
+	}
+}
+
+// TestPeerRedialCountsOwnedBatchDrops: an OwnedSender that fails a batch
+// has consumed it, so every payload in it is lost and counted; the writer
+// redials and later sends still arrive.
+func TestPeerRedialCountsOwnedBatchDrops(t *testing.T) {
+	tr := &resetOnce{Transport: transport.NewMem(0), owned: true}
+	frames := listenPeer(t, tr, "peer")
+	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d", Transport: tr})
+	pc := idlePeer(w, "peer")
+	js := w.job(1)
+	const n = 20
+	for i := 1; i <= n; i++ {
+		queueSmall(t, w, js, ids.CommandID(i), nil)
+	}
+	runWriter(t, w, pc)
+
+	waitCount(t, "PeerSendDrops", &w.Stats.PeerSendDrops, n)
+	waitCount(t, "PeerRedials", &w.Stats.PeerRedials, 1)
+	queueSmall(t, w, js, n+1, nil)
+	f := nextFrame(t, frames)
+	if len(f.msgs) != 1 {
+		t.Fatalf("frame after the redial carried %d messages, want 1", len(f.msgs))
+	}
+	expectPayloads(t, f.msgs, n+1)
 }
