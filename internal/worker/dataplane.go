@@ -153,16 +153,13 @@ func (pc *peerConn) nextRun(run []peerItem, maxBytes int) ([]peerItem, bool) {
 	n := 0
 	for pc.head < len(pc.queue) {
 		it := pc.queue[pc.head]
-		if len(run) > 0 && (it.xfer != nil || n+len(it.frame) > maxBytes) {
+		if len(run) > 0 && (run[0].xfer != nil || it.xfer != nil || n+len(it.frame) > maxBytes) {
 			break
 		}
 		run = append(run, it)
 		n += len(it.frame)
 		pc.queue[pc.head] = peerItem{} // do not pin the item once popped
 		pc.head++
-		if it.xfer != nil {
-			break
-		}
 	}
 	if pc.head == len(pc.queue) {
 		// Drained: reuse the backing array from the start.
